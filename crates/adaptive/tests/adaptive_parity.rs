@@ -317,15 +317,18 @@ fn speculative_win_is_first_sealed_and_byte_identical() {
 
     let shard_a = ServeProcess::start("spec_a");
     let shard_b = ServeProcess::start("spec_b");
-    // The decoy: a long full-scale campaign holding B's only job slot
-    // for the duration of the race. Distinct seed, so it can never be
-    // conflated with the real sub-campaign in B's job store.
+    // The decoy: a long maximum-scale campaign holding B's only job slot
+    // for the duration of the race — sized in runs, not wall time, with
+    // a wide margin so faster simulation cannot free the slot early (the
+    // process is killed at the end, so its length costs nothing).
+    // Distinct seed, so it can never be conflated with the real
+    // sub-campaign in B's job store.
     let mut decoy_config = SystemConfig::paper(0);
-    decoy_config.scale = 1.0;
+    decoy_config.scale = 4.0;
     let decoy = CampaignSpec::new(decoy_config, 0xDEC0)
         .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
-        .replicates(64);
+        .replicates(1024);
     let (status, _) = chunkpoint_shard::exchange(
         &shard_b.addr,
         "POST",

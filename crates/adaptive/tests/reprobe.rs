@@ -5,7 +5,7 @@
 //! run still byte-identical and the recovered backend actually
 //! receiving work.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,7 @@ fn serve_bin() -> PathBuf {
 /// never becomes healthy within `deadline`.
 fn spawn_serve(
     addr: &str,
-    data_dir: &PathBuf,
+    data_dir: &Path,
     port_file: &PathBuf,
     deadline: Instant,
 ) -> Result<(Child, String), String> {
@@ -87,7 +87,7 @@ fn spawn_serve(
 /// Restarts a killed backend on its **old address**, retrying the spawn
 /// until the port is bindable again (the kernel may hold it briefly
 /// after the kill).
-fn restart_at(addr: &str, data_dir: &PathBuf, port_file: &PathBuf) -> Child {
+fn restart_at(addr: &str, data_dir: &Path, port_file: &PathBuf) -> Child {
     let overall = Instant::now() + Duration::from_secs(60);
     loop {
         let attempt_deadline = (Instant::now() + Duration::from_secs(10)).min(overall);

@@ -58,12 +58,15 @@ fn policy_from(knobs: (u64, u64, (bool, f64), (bool, f64), u32)) -> AdaptivePoli
     policy
 }
 
+/// An optional CI threshold: whether it is set, and its value range.
+type ThresholdKnob = (proptest::arbitrary::Any<bool>, std::ops::Range<f64>);
+
 /// Strategy tuple feeding [`policy_from`].
 fn policy_knobs() -> (
     std::ops::Range<u64>,
     std::ops::Range<u64>,
-    (proptest::arbitrary::Any<bool>, std::ops::Range<f64>),
-    (proptest::arbitrary::Any<bool>, std::ops::Range<f64>),
+    ThresholdKnob,
+    ThresholdKnob,
     std::ops::Range<u32>,
 ) {
     (

@@ -26,9 +26,7 @@ fn main() {
         println!("== {benchmark} ==");
         table.header(
             "OV1 %",
-            &["chunk (words)", "L1' t", "J (uJ)", "area %"]
-                .map(str::to_owned)
-                .to_vec(),
+            &["chunk (words)", "L1' t", "J (uJ)", "area %"].map(str::to_owned),
         );
         for &budget in &BUDGETS {
             let mut config = SystemConfig::paper(args.seed);

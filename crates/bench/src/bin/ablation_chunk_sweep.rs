@@ -68,9 +68,7 @@ fn main() {
         );
         table.header(
             "K (words)",
-            &["J (uJ)", "area %", "cycle %", "measured E/E0"]
-                .map(str::to_owned)
-                .to_vec(),
+            &["J (uJ)", "area %", "cycle %", "measured E/E0"].map(str::to_owned),
         );
         for &k in shown.iter() {
             let point = &points[(k - 1) as usize];

@@ -26,14 +26,11 @@ fn main() {
             "L1' 32w area",
             "full-L1 area",
         ]
-        .map(str::to_owned)
-        .to_vec(),
+        .map(str::to_owned),
     );
     table.header(
         "",
-        &["bits", "bits", "burst", "", "(% of L1)", "overhead"]
-            .map(str::to_owned)
-            .to_vec(),
+        &["bits", "bits", "burst", "", "(% of L1)", "overhead"].map(str::to_owned),
     );
     for kind in EccKind::catalog() {
         let overhead = CodeOverhead::for_kind(kind).expect("catalog builds");

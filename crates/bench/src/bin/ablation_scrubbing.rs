@@ -52,9 +52,7 @@ fn main() {
         println!("== {benchmark} ==");
         table.header(
             "scheme",
-            &["energy x", "restarts", "corrupted", "incomplete"]
-                .map(str::to_owned)
-                .to_vec(),
+            &["energy x", "restarts", "corrupted", "incomplete"].map(str::to_owned),
         );
         for scheme in SCHEMES {
             let stats = cells

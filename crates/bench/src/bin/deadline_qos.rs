@@ -87,10 +87,7 @@ fn main() {
                 "== {benchmark} (deadline {} cycles) ==",
                 deadline_of(benchmark, "Default")
             );
-            table.header(
-                "scheme",
-                &["missed", "corrupted", "ok"].map(str::to_owned).to_vec(),
-            );
+            table.header("scheme", &["missed", "corrupted", "ok"].map(str::to_owned));
             for (label, _) in SCHEMES {
                 let deadline = deadline_of(benchmark, label);
                 let mut missed = 0u64;

@@ -31,8 +31,7 @@ fn main() {
             "area %",
             "cycle %",
         ]
-        .map(str::to_owned)
-        .to_vec(),
+        .map(str::to_owned),
     );
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {

@@ -6,6 +6,9 @@
 //! bits (data or check); `decode` classifies the read as clean, corrected,
 //! detected-uncorrectable, or — for weak codes — silently wrong.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use crate::bitbuf::BitBuf;
 
 /// Result of decoding a (possibly corrupted) stored codeword.
@@ -240,7 +243,19 @@ impl std::fmt::Display for BuildSchemeError {
 
 impl std::error::Error for BuildSchemeError {}
 
-/// Builds a live codec for `kind`.
+/// Process-wide table of live codecs, one per successfully built kind.
+type CodecTable = Mutex<HashMap<EccKind, Arc<dyn EccScheme>>>;
+
+/// Returns the shared live codec for `kind`.
+///
+/// Codecs are immutable and stateless (see [`EccScheme`]), so the first
+/// call for a kind builds it — BCH syndrome and remainder tables cost
+/// tens of microseconds — and every later call, from any thread, returns
+/// a clone of the same [`Arc`]. The table holds at most one entry per
+/// valid kind, so it is bounded by the size of [`EccKind::catalog`] plus
+/// whatever other valid parameters callers ask for. Construction errors
+/// are returned to the caller and never cached: an invalid kind fails
+/// the same way on every call.
 ///
 /// # Errors
 ///
@@ -250,29 +265,42 @@ impl std::error::Error for BuildSchemeError {}
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use chunkpoint_ecc::{build_scheme, EccKind};
 ///
 /// let code = build_scheme(EccKind::Bch { t: 4 })?;
 /// assert!(code.check_bits() > 0);
 /// assert_eq!(code.correctable_bits(), 4);
+/// // The same kind is one shared codec.
+/// assert!(Arc::ptr_eq(&code, &build_scheme(EccKind::Bch { t: 4 })?));
 /// # Ok::<(), chunkpoint_ecc::BuildSchemeError>(())
 /// ```
-pub fn build_scheme(kind: EccKind) -> Result<Box<dyn EccScheme>, BuildSchemeError> {
-    match kind {
-        EccKind::None => Ok(Box::new(crate::parity::NoCode::new())),
-        EccKind::Parity => Ok(Box::new(crate::parity::ParityCode::new())),
-        EccKind::InterleavedParity { ways } => crate::parity::InterleavedParity::new(ways as usize)
-            .map(|c| Box::new(c) as Box<dyn EccScheme>),
-        EccKind::Secded => Ok(Box::new(crate::secded::SecdedCode::new())),
-        EccKind::TwoDimParity => Ok(Box::new(crate::twodim::TwoDimParity::new())),
-        EccKind::InterleavedSecded { ways } => {
-            crate::interleaved::InterleavedSecded::new(ways as usize)
-                .map(|c| Box::new(c) as Box<dyn EccScheme>)
-        }
-        EccKind::Bch { t } => {
-            crate::bch::BchCode::for_word(t as usize).map(|c| Box::new(c) as Box<dyn EccScheme>)
-        }
+pub fn build_scheme(kind: EccKind) -> Result<Arc<dyn EccScheme>, BuildSchemeError> {
+    static CODECS: OnceLock<CodecTable> = OnceLock::new();
+    // A panic while building leaves the table itself consistent (the
+    // entry is only inserted on success), so a poisoned lock is usable.
+    let mut table = CODECS
+        .get_or_init(CodecTable::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(codec) = table.get(&kind) {
+        return Ok(Arc::clone(codec));
     }
+    let codec: Arc<dyn EccScheme> = match kind {
+        EccKind::None => Arc::new(crate::parity::NoCode::new()),
+        EccKind::Parity => Arc::new(crate::parity::ParityCode::new()),
+        EccKind::InterleavedParity { ways } => {
+            Arc::new(crate::parity::InterleavedParity::new(ways as usize)?)
+        }
+        EccKind::Secded => Arc::new(crate::secded::SecdedCode::new()),
+        EccKind::TwoDimParity => Arc::new(crate::twodim::TwoDimParity::new()),
+        EccKind::InterleavedSecded { ways } => {
+            Arc::new(crate::interleaved::InterleavedSecded::new(ways as usize)?)
+        }
+        EccKind::Bch { t } => Arc::new(crate::bch::BchCode::for_word(t as usize)?),
+    };
+    table.insert(kind, Arc::clone(&codec));
+    Ok(codec)
 }
 
 #[cfg(test)]
@@ -341,5 +369,43 @@ mod tests {
         assert!(build_scheme(EccKind::Bch { t: 0 }).is_err());
         assert!(build_scheme(EccKind::Bch { t: 40 }).is_err());
         assert!(build_scheme(EccKind::InterleavedSecded { ways: 3 }).is_err());
+    }
+
+    #[test]
+    fn build_shares_one_codec_per_kind_across_threads() {
+        for kind in [EccKind::Bch { t: 8 }, EccKind::Secded, EccKind::None] {
+            // All eight threads race into the table at once.
+            let start = std::sync::Barrier::new(8);
+            let codecs: Vec<Arc<dyn EccScheme>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            build_scheme(kind).expect("valid kind")
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("builder thread"))
+                    .collect()
+            });
+            for codec in &codecs[1..] {
+                assert!(Arc::ptr_eq(&codecs[0], codec), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn build_errors_are_never_cached() {
+        for kind in [
+            EccKind::Bch { t: 19 },
+            EccKind::InterleavedSecded { ways: 3 },
+        ] {
+            let first = build_scheme(kind).expect_err("invalid kind");
+            for _ in 0..4 {
+                assert_eq!(build_scheme(kind).expect_err("still invalid"), first);
+            }
+        }
     }
 }

@@ -198,7 +198,7 @@ impl EccScheme for HammingSecded {
         let data = (w & ((1u64 << self.data_bits) - 1)) as u32;
         let stored_checks = ((w >> self.data_bits) & ((1u64 << self.hamming_bits) - 1)) as u32;
         let syndrome = self.compute_checks(data) ^ stored_checks;
-        let parity_ok = w.count_ones() % 2 == 0;
+        let parity_ok = w.count_ones().is_multiple_of(2);
         match (syndrome, parity_ok) {
             (0, true) => Decoded::Clean { data },
             (0, false) => {

@@ -124,7 +124,7 @@ impl Drop for ServeProcess {
 fn parity_spec() -> CampaignSpec {
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    CampaignSpec::new(config, 0x0E4EC_9A41)
+    CampaignSpec::new(config, 0x0000_E4EC_9A41)
         .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))

@@ -173,7 +173,7 @@ fn scenario_axis() -> Vec<ScenarioDef> {
 fn scenario_spec() -> CampaignSpec {
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    CampaignSpec::new(config, 0x5CE0_A41)
+    CampaignSpec::new(config, 0x05CE_0A41)
         .benchmarks(&[Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))

@@ -131,7 +131,7 @@ impl TimelineEvent {
             "error_rate_shift" => {
                 let cycle = u64_field(value, "error_rate_shift", "cycle")?;
                 let rate = f64_field(value, "error_rate_shift", "rate")?;
-                if !(rate >= 0.0 && rate < 1.0) {
+                if !(0.0..1.0).contains(&rate) {
                     return Err(ScenarioError::BadValue {
                         context: "error_rate_shift.rate",
                         message: format!("{rate} outside [0, 1)"),

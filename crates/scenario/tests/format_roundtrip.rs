@@ -38,7 +38,7 @@ fn arbitrary_name(state: &mut u64, index: usize) -> String {
 /// scrub policies interleaved anywhere.
 fn arbitrary_timeline(state: &mut u64) -> Vec<TimelineEvent> {
     let mut events = Vec::new();
-    if next(state) % 4 == 0 {
+    if next(state).is_multiple_of(4) {
         events.push(TimelineEvent::TaskSwitch {
             cycle: 0,
             task: "ADPCM encode".to_owned(),
@@ -77,7 +77,7 @@ fn arbitrary_expect(state: &mut u64) -> Vec<Expectation> {
                 Expectation {
                     field,
                     op: ExpectOp::Eq,
-                    value: ExpectValue::Bool(next(state) % 2 == 0),
+                    value: ExpectValue::Bool(next(state).is_multiple_of(2)),
                 }
             } else {
                 let op = match next(state) % 3 {
@@ -85,7 +85,7 @@ fn arbitrary_expect(state: &mut u64) -> Vec<Expectation> {
                     1 => ExpectOp::Ge,
                     _ => ExpectOp::Le,
                 };
-                let value = if next(state) % 2 == 0 {
+                let value = if next(state).is_multiple_of(2) {
                     ExpectValue::Uint(next(state) % 1_000_000)
                 } else {
                     ExpectValue::Float((next(state) % 1_000) as f64 + 0.5)

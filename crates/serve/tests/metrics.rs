@@ -4,7 +4,7 @@
 //! families present, every counter monotone across scrapes, and the
 //! `--trace-out` sink holding well-formed span records at shutdown.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -37,7 +37,7 @@ struct ServeProcess {
 
 /// Starts the real `serve` binary on an ephemeral port and waits for
 /// `/healthz`.
-fn start_serve(data_dir: &PathBuf, port_file: &PathBuf, trace_out: &PathBuf) -> ServeProcess {
+fn start_serve(data_dir: &Path, port_file: &PathBuf, trace_out: &Path) -> ServeProcess {
     let _ = std::fs::remove_file(port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args([

@@ -6,7 +6,7 @@
 //! in-process run of the same spec — the bit-exactness the SplitMix64
 //! per-scenario seed derivation guarantees.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// denominator and a golden comparison).
 fn kill_spec() -> CampaignSpec {
     let config = SystemConfig::paper(0);
-    CampaignSpec::new(config, 0xC4A5_11)
+    CampaignSpec::new(config, 0x00C4_A511)
         .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::G721Encode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))
@@ -49,7 +49,7 @@ struct ServeProcess {
 
 /// Starts the real `serve` binary on an ephemeral port over `data_dir`
 /// and waits until it answers `/healthz`.
-fn start_serve(data_dir: &PathBuf, port_file: &PathBuf) -> ServeProcess {
+fn start_serve(data_dir: &Path, port_file: &PathBuf) -> ServeProcess {
     let _ = std::fs::remove_file(port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args([

@@ -1299,6 +1299,11 @@ pub fn run_sharded(
     run_sharded_ctl(spec, backends, None, config, &CancelToken::new(), |_| {})
 }
 
+/// One entry of the dispatch plan: the shard's backend index, its global
+/// scenario range, and — for ranges served from the cache — the
+/// pre-sealed rows.
+type PlannedShard = (usize, (usize, usize), Option<Vec<ScenarioResult>>);
+
 /// The controllable core of [`run_sharded`]: the same dispatch loop
 /// with three extra seams the unified executor API drives.
 ///
@@ -1376,10 +1381,8 @@ pub fn run_sharded_ctl(
         }
         None => std::collections::BTreeMap::new(),
     };
-    // The dispatch plan: per shard its backend, global range, and —
-    // for ranges served from the cache — the pre-sealed rows.
     let offset = |(start, end): (usize, usize)| (active.start + start, active.start + end);
-    let mut plan: Vec<(usize, (usize, usize), Option<Vec<ScenarioResult>>)> = Vec::new();
+    let mut plan: Vec<PlannedShard> = Vec::new();
     if cached_rows.is_empty() {
         // Cold (or no) cache: exactly the classic partitioning.
         // Weighted ranges stay index-aligned with their backends (empty

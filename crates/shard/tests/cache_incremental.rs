@@ -11,7 +11,7 @@
 //! full run.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -53,7 +53,7 @@ struct ServeProcess {
 impl ServeProcess {
     /// Starts a real `serve` on an ephemeral port and waits until it
     /// answers `/healthz`.
-    fn start(data_dir: &PathBuf, port_file: &PathBuf) -> Self {
+    fn start(data_dir: &Path, port_file: &PathBuf) -> Self {
         let _ = std::fs::remove_file(port_file);
         let child = Command::new(serve_bin())
             .args([
@@ -125,9 +125,9 @@ fn spec_with_rates(rates: &[f64]) -> CampaignSpec {
         .replicates(3)
 }
 
-fn cached_config(cache_dir: &PathBuf) -> ShardConfig {
+fn cached_config(cache_dir: &Path) -> ShardConfig {
     ShardConfig {
-        cache_dir: Some(cache_dir.clone()),
+        cache_dir: Some(cache_dir.to_path_buf()),
         ..ShardConfig::default()
     }
 }

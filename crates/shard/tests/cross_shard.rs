@@ -7,7 +7,7 @@
 //! to a survivor, and the merged bytes must *still* be identical —
 //! sharding, crashes, and re-dispatch are invisible in the output.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -48,7 +48,7 @@ struct ServeProcess {
 impl ServeProcess {
     /// Starts a real `serve` on an ephemeral port and waits until it
     /// answers `/healthz`.
-    fn start(data_dir: &PathBuf, port_file: &PathBuf) -> Self {
+    fn start(data_dir: &Path, port_file: &PathBuf) -> Self {
         let _ = std::fs::remove_file(port_file);
         let child = Command::new(serve_bin())
             .args([

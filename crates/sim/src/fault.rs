@@ -567,7 +567,7 @@ mod tests {
         }
         // Windows inside the hot region must strike often.
         let mut hot = 0;
-        for now in ((1_100)..=(2_000)).step_by(100) {
+        for now in (1_100..=2_000).step_by(100) {
             let mut w = BitBuf::new(39);
             hot += faults.expose(&mut w, 100, now).len();
         }

@@ -6,6 +6,16 @@
 //! physical array. Fault exposure is materialised lazily at access time
 //! from the elapsed cycles since the word was last written/read, which is
 //! statistically identical to a per-cycle process but costs O(accesses).
+//!
+//! The array itself is materialised lazily too: a new [`Sram`] allocates
+//! no per-word storage, and words come into existence — as the encoded
+//! zero word, last touched at cycle 0 — the first time an access reaches
+//! them. That is exactly the state an eagerly filled array would hold, so
+//! fault draws, exposure windows and statistics are identical, while a
+//! run that touches a few hundred words of a 16K-word L1 never pays for
+//! the rest.
+
+use std::sync::Arc;
 
 use chunkpoint_ecc::{build_scheme, BitBuf, Decoded, EccKind, EccScheme};
 
@@ -31,6 +41,12 @@ pub struct SramStats {
 
 /// A word-addressable SRAM protected by a configurable ECC scheme.
 ///
+/// The codec is the process-wide shared instance from [`build_scheme`],
+/// and per-word storage grows on demand up to the highest address
+/// touched (see the module docs). [`Sram::len`] is always the configured
+/// size — the energy and area models see the full array — and every
+/// access is bounds-checked against it.
+///
 /// # Examples
 ///
 /// ```
@@ -46,9 +62,16 @@ pub struct SramStats {
 pub struct Sram {
     name: String,
     kind: EccKind,
-    scheme: Box<dyn EccScheme>,
+    scheme: Arc<dyn EccScheme>,
+    /// Configured number of addressable words.
+    size: usize,
+    /// The encoded zero word every untouched word holds.
+    blank: BitBuf,
+    /// Stored codewords of words `0..words.len()`; words beyond are
+    /// untouched and implicitly `blank`.
     words: Vec<BitBuf>,
-    /// Cycle at which each word's stored bits were last materialised.
+    /// Cycle at which each word's stored bits were last materialised,
+    /// parallel to `words`; untouched words implicitly hold 0.
     last_touch: Vec<u64>,
     faults: FaultProcess,
     stats: SramStats,
@@ -59,7 +82,8 @@ pub struct Sram {
 
 impl Sram {
     /// Creates an array of `words` words protected by `kind`, subject to
-    /// `faults`.
+    /// `faults`. Allocates no per-word storage: every word reads as zero
+    /// until written.
     ///
     /// # Errors
     ///
@@ -80,9 +104,11 @@ impl Sram {
         Ok(Self {
             name: name.into(),
             kind,
-            words: vec![blank; words],
-            last_touch: vec![0; words],
             scheme,
+            size: words,
+            blank,
+            words: Vec::new(),
+            last_touch: Vec::new(),
             faults,
             stats: SramStats::default(),
             event_log: Vec::new(),
@@ -105,13 +131,13 @@ impl Sram {
     /// Number of addressable words.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.size
     }
 
     /// Whether the array has zero words (never true by construction).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.size == 0
     }
 
     /// Stored bits per word, check bits included.
@@ -143,6 +169,15 @@ impl Sram {
         self.faults = faults;
     }
 
+    /// Materialises every untouched word below `end` as the blank word
+    /// last touched at cycle 0. Callers bounds-check `end` first.
+    fn materialise(&mut self, end: usize) {
+        if end > self.words.len() {
+            self.words.resize(end, self.blank);
+            self.last_touch.resize(end, 0);
+        }
+    }
+
     fn expose(&mut self, addr: usize, now: u64) {
         let elapsed = now.saturating_sub(self.last_touch[addr]);
         if elapsed > 0 {
@@ -167,7 +202,8 @@ impl Sram {
     ///
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize, now: u64) -> Decoded {
-        assert!(addr < self.words.len(), "read past end of {}", self.name);
+        assert!(addr < self.size, "read past end of {}", self.name);
+        self.materialise(addr + 1);
         self.expose(addr, now);
         self.stats.reads += 1;
         let outcome = self.scheme.decode(&self.words[addr]);
@@ -195,7 +231,8 @@ impl Sram {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: u32, now: u64) {
-        assert!(addr < self.words.len(), "write past end of {}", self.name);
+        assert!(addr < self.size, "write past end of {}", self.name);
+        self.materialise(addr + 1);
         self.words[addr] = self.scheme.encode(value);
         self.last_touch[addr] = now;
         self.stats.writes += 1;
@@ -210,10 +247,11 @@ impl Sram {
     /// Panics if the block exceeds the array.
     pub fn write_block(&mut self, addr: usize, values: &[u32], now: u64) {
         assert!(
-            addr + values.len() <= self.words.len(),
+            addr + values.len() <= self.size,
             "block write past end of {}",
             self.name
         );
+        self.materialise(addr + values.len());
         self.scheme
             .encode_block(values, &mut self.words[addr..addr + values.len()]);
         for touch in &mut self.last_touch[addr..addr + values.len()] {
@@ -248,10 +286,11 @@ impl Sram {
         sink: &mut Vec<u32>,
     ) -> Result<(), usize> {
         assert!(
-            addr + count <= self.words.len(),
+            addr + count <= self.size,
             "block read past end of {}",
             self.name
         );
+        self.materialise(addr + count);
         for i in addr..addr + count {
             self.expose(i, now);
         }
@@ -295,14 +334,18 @@ impl Sram {
 
     /// Returns the decoded payload without materialising faults, running
     /// ECC, or touching statistics — a debugging/verification backdoor
-    /// equivalent to a simulator's memory dump.
+    /// equivalent to a simulator's memory dump. An untouched word peeks
+    /// as 0.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
     #[must_use]
     pub fn peek(&self, addr: usize) -> u32 {
-        assert!(addr < self.words.len(), "peek past end of {}", self.name);
+        assert!(addr < self.size, "peek past end of {}", self.name);
+        if addr >= self.words.len() {
+            return 0;
+        }
         let r = self.scheme.check_bits();
         // Payload location depends on the scheme's layout; NoCode/Parity/
         // SECDED keep data in the low bits, BCH keeps it above the parity.
@@ -323,7 +366,8 @@ impl Sram {
     ///
     /// Panics if the burst exceeds the stored word.
     pub fn inject(&mut self, addr: usize, first_bit: usize, width: usize) {
-        assert!(addr < self.words.len(), "inject past end of {}", self.name);
+        assert!(addr < self.size, "inject past end of {}", self.name);
+        self.materialise(addr + 1);
         let word = &mut self.words[addr];
         assert!(first_bit + width <= word.len(), "burst exceeds stored word");
         for bit in first_bit..first_bit + width {
@@ -335,7 +379,7 @@ impl Sram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::UpsetModel;
+    use crate::fault::{Burst, FaultTimeline, UpsetModel};
 
     fn quiet(words: usize, kind: EccKind) -> Sram {
         Sram::new("test", words, kind, FaultProcess::disabled()).unwrap()
@@ -464,6 +508,120 @@ mod tests {
         let mem = quiet(256, EccKind::Secded);
         assert_eq!(mem.model().bits_per_word(), 39);
         assert_eq!(mem.model().words(), 256);
+    }
+
+    /// Observable result of one access in the parity sequence.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Outcome {
+        Read(Decoded),
+        Block(Vec<u32>, Result<(), usize>),
+        Done,
+    }
+
+    /// Drives `mem` through a seeded random mix of every access kind —
+    /// the top address included — and returns the per-access outcomes.
+    fn drive(mem: &mut Sram, seed: u64, steps: usize) -> Vec<Outcome> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let size = mem.len();
+        let bits = mem.bits_per_word();
+        let mut now = 1u64;
+        let mut out = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            now += rng.gen_range(1..4_000u64);
+            let addr = if rng.gen_range(0..8u32) == 0 {
+                size - 1
+            } else {
+                rng.gen_range(0..size)
+            };
+            let count = rng.gen_range(1..=(size - addr).min(24));
+            out.push(match rng.gen_range(0..5u32) {
+                0 => Outcome::Read(mem.read(addr, now)),
+                1 => {
+                    mem.write(addr, rng.gen(), now);
+                    Outcome::Done
+                }
+                2 => {
+                    let mut sink = Vec::new();
+                    let result = mem.read_block(addr, count, now, &mut sink);
+                    Outcome::Block(sink, result)
+                }
+                3 => {
+                    let values: Vec<u32> = (0..count).map(|_| rng.gen()).collect();
+                    mem.write_block(addr, &values, now);
+                    Outcome::Done
+                }
+                _ => {
+                    let width = rng.gen_range(1..=3usize);
+                    mem.inject(addr, rng.gen_range(0..=bits - width), width);
+                    Outcome::Done
+                }
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_array_matches_a_pre_touched_array() {
+        let timeline = FaultTimeline {
+            shifts: vec![(200_000, 5e-5), (600_000, 2e-4)],
+            bursts: vec![Burst {
+                cycle: 400_000,
+                words: 40,
+                rate: 0.5,
+            }],
+            scrub_period: Some(250_000),
+        };
+        let size = 300;
+        for kind in [
+            EccKind::None,
+            EccKind::Secded,
+            EccKind::InterleavedParity { ways: 4 },
+            EccKind::InterleavedSecded { ways: 2 },
+            EccKind::Bch { t: 4 },
+        ] {
+            for seed in 0..4u64 {
+                let faults = || {
+                    FaultProcess::new(1e-4, UpsetModel::smu_65nm(), 77 + seed)
+                        .with_timeline(timeline.clone())
+                };
+                let mut lazy = Sram::new("lazy", size, kind, faults()).unwrap();
+                let mut eager = Sram::new("eager", size, kind, faults()).unwrap();
+                eager.write_block(0, &vec![0; size], 0);
+                assert_eq!(lazy.len(), eager.len());
+                let lazy_out = drive(&mut lazy, seed, 400);
+                let eager_out = drive(&mut eager, seed, 400);
+                assert_eq!(lazy_out, eager_out, "{kind} seed {seed}");
+                assert_eq!(lazy.fault_log(), eager.fault_log(), "{kind} seed {seed}");
+                let (l, e) = (lazy.stats(), eager.stats());
+                assert!(l.strikes > 0, "{kind} seed {seed}: no strike exercised");
+                assert_eq!(l.strikes, e.strikes, "{kind} seed {seed}");
+                assert_eq!(l.reads, e.reads, "{kind} seed {seed}");
+                assert_eq!(l.corrected_reads, e.corrected_reads, "{kind} seed {seed}");
+                assert_eq!(l.failed_reads, e.failed_reads, "{kind} seed {seed}");
+                assert_eq!(l.bits_corrected, e.bits_corrected, "{kind} seed {seed}");
+                for addr in 0..size {
+                    assert_eq!(lazy.peek(addr), eager.peek(addr), "{kind} word {addr}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_words_are_the_encoded_zero_word() {
+        for kind in EccKind::catalog() {
+            let code = build_scheme(kind).unwrap();
+            assert_eq!(
+                code.decode(&code.encode(0)),
+                Decoded::Clean { data: 0 },
+                "{kind}"
+            );
+            let mem = quiet(16 * 1024, kind);
+            assert_eq!(mem.len(), 16 * 1024, "{kind}");
+            assert_eq!(mem.peek(0), 0, "{kind}");
+            assert_eq!(mem.peek(16 * 1024 - 1), 0, "{kind}");
+        }
     }
 
     #[test]

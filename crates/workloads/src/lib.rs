@@ -57,5 +57,5 @@ pub use stream::{
 };
 pub use tasks::{
     AdpcmDecodeTask, AdpcmEncodeTask, Benchmark, G721DecodeTask, G721EncodeTask, G722DecodeTask,
-    G722EncodeTask, JpegDecodeTask,
+    G722EncodeTask, JpegDecodeTask, INPUT_MEMO_CAPACITY,
 };

@@ -9,6 +9,8 @@
 //! Rust side: instruction/constant memory is not the vulnerable SRAM the
 //! paper protects.
 
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use chunkpoint_sim::{MemoryBus, Region};
 
 use crate::adpcm::{self, AdpcmState};
@@ -859,6 +861,49 @@ impl StreamingTask for JpegDecodeTask {
 // Benchmark registry
 // ---------------------------------------------------------------------------
 
+/// Most synthesised benchmark inputs [`Benchmark::build_task_scaled`]
+/// keeps memoised at once (oldest evicted first).
+pub const INPUT_MEMO_CAPACITY: usize = 32;
+
+/// A synthesised benchmark input, shared between the memo and builds.
+#[derive(Debug, Clone)]
+enum FrameInput {
+    /// PCM samples (encoder input).
+    Pcm(Arc<[i16]>),
+    /// Encoded bytes: codec codes (decoder input) or a JPEG stream.
+    Bytes(Arc<[u8]>),
+}
+
+impl FrameInput {
+    /// A task-owned copy of the PCM samples.
+    fn pcm(&self) -> Vec<i16> {
+        match self {
+            FrameInput::Pcm(pcm) => pcm.to_vec(),
+            FrameInput::Bytes(_) => unreachable!("encoder inputs are synthesised as PCM"),
+        }
+    }
+
+    /// A task-owned copy of the encoded bytes.
+    fn bytes(&self) -> Vec<u8> {
+        match self {
+            FrameInput::Bytes(bytes) => bytes.to_vec(),
+            FrameInput::Pcm(_) => unreachable!("decoder inputs are synthesised as bytes"),
+        }
+    }
+}
+
+/// The input memo: `((benchmark, input length), input)`, oldest first.
+type InputMemo = Vec<((Benchmark, usize), FrameInput)>;
+
+/// The process-wide input memo behind [`Benchmark::build_task_scaled`].
+///
+/// Every update (one `remove`, one `push`) leaves the memo a valid list,
+/// so callers recover the guard of a poisoned lock instead of failing.
+fn input_memo() -> &'static Mutex<InputMemo> {
+    static MEMO: OnceLock<Mutex<InputMemo>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+}
+
 /// The five benchmarks of the paper's evaluation, plus the wideband
 /// G.722 pair added for timeline scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -954,8 +999,70 @@ impl Benchmark {
         }
     }
 
+    /// Input-size key of the standard frame at `scale`: the PCM sample
+    /// count for audio codecs, the image edge length for JPEG.
+    fn input_len(self, scale: f64) -> usize {
+        match self {
+            Benchmark::JpegDecode => Self::jpeg_side(scale),
+            _ => self.audio_samples(scale),
+        }
+    }
+
+    /// Synthesises the benchmark's standard input of size `len` (see
+    /// [`Benchmark::input_len`]): PCM for encoders, encoded codes for
+    /// decoders, the encoded stream for JPEG.
+    fn synthesise_input(self, len: usize) -> FrameInput {
+        match self {
+            Benchmark::AdpcmEncode => FrameInput::Pcm(speech_pcm(len, 0xA1).into()),
+            Benchmark::AdpcmDecode => {
+                FrameInput::Bytes(adpcm::encode(&speech_pcm(len, 0xA2)).into())
+            }
+            Benchmark::G721Encode => FrameInput::Pcm(speech_pcm(len, 0xB1).into()),
+            Benchmark::G721Decode => FrameInput::Bytes(g726::encode(&speech_pcm(len, 0xB2)).into()),
+            Benchmark::JpegDecode => {
+                let img = test_image(len, len, 0xC1);
+                FrameInput::Bytes(jpeg::encode(&img, len, len, 80).into())
+            }
+            Benchmark::G722Encode => FrameInput::Pcm(speech_pcm(len, 0xD1).into()),
+            Benchmark::G722Decode => FrameInput::Bytes(g722::encode(&speech_pcm(len, 0xD2)).into()),
+        }
+    }
+
+    /// The benchmark's standard input of size `len`, from the process-wide
+    /// memo (synthesised and inserted on a miss).
+    fn frame_input(self, len: usize) -> FrameInput {
+        let memo = input_memo();
+        let lookup = |memo: &InputMemo| {
+            memo.iter()
+                .find(|(key, _)| *key == (self, len))
+                .map(|(_, input)| input.clone())
+        };
+        if let Some(input) = lookup(&memo.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return input;
+        }
+        // Synthesise outside the lock so concurrent misses on other
+        // inputs do not serialise; a racing twin inserts an equal value.
+        let input = self.synthesise_input(len);
+        let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if lookup(&memo).is_none() {
+            if memo.len() == INPUT_MEMO_CAPACITY {
+                memo.remove(0);
+            }
+            memo.push(((self, len), input.clone()));
+        }
+        input
+    }
+
     /// Like [`Benchmark::build_task`] with an input-length scale factor
     /// (0.1 = ten times shorter runs, for fast tests).
+    ///
+    /// The synthesised input — PCM, encoded codes or JPEG stream — is a
+    /// pure function of the benchmark and its input length, so it is
+    /// memoised process-wide: only the first build of each (benchmark,
+    /// length) pays for synthesis, later builds copy the memoised frame
+    /// into the task's own buffer. The memo holds at most
+    /// [`INPUT_MEMO_CAPACITY`] entries and evicts the oldest, so a
+    /// campaign sweeping many scales cannot grow it without bound.
     ///
     /// # Panics
     ///
@@ -963,41 +1070,21 @@ impl Benchmark {
     #[must_use]
     pub fn build_task_scaled(self, chunk_words: u32, scale: f64) -> Box<dyn StreamingTask> {
         assert!(scale > 0.0 && scale <= 4.0, "scale out of range");
-        let n_audio = self.audio_samples(scale);
+        let len = self.input_len(scale);
+        let input = self.frame_input(len);
         match self {
-            Benchmark::AdpcmEncode => {
-                Box::new(AdpcmEncodeTask::new(speech_pcm(n_audio, 0xA1), chunk_words))
-            }
+            Benchmark::AdpcmEncode => Box::new(AdpcmEncodeTask::new(input.pcm(), chunk_words)),
             Benchmark::AdpcmDecode => {
-                let pcm = speech_pcm(n_audio, 0xA2);
-                let codes = adpcm::encode(&pcm);
-                Box::new(AdpcmDecodeTask::new(codes, n_audio, chunk_words))
+                Box::new(AdpcmDecodeTask::new(input.bytes(), len, chunk_words))
             }
-            Benchmark::G721Encode => {
-                Box::new(G721EncodeTask::new(speech_pcm(n_audio, 0xB1), chunk_words))
-            }
-            Benchmark::G721Decode => {
-                let pcm = speech_pcm(n_audio, 0xB2);
-                let codes = g726::encode(&pcm);
-                Box::new(G721DecodeTask::new(codes, n_audio, chunk_words))
-            }
-            Benchmark::JpegDecode => {
-                let side = Self::jpeg_side(scale);
-                let img = test_image(side, side, 0xC1);
-                let bytes = jpeg::encode(&img, side, side, 80);
-                Box::new(
-                    JpegDecodeTask::new(bytes, chunk_words)
-                        .expect("internally generated stream parses"),
-                )
-            }
-            Benchmark::G722Encode => {
-                Box::new(G722EncodeTask::new(speech_pcm(n_audio, 0xD1), chunk_words))
-            }
-            Benchmark::G722Decode => {
-                let pcm = speech_pcm(n_audio, 0xD2);
-                let codes = g722::encode(&pcm);
-                Box::new(G722DecodeTask::new(codes, n_audio, chunk_words))
-            }
+            Benchmark::G721Encode => Box::new(G721EncodeTask::new(input.pcm(), chunk_words)),
+            Benchmark::G721Decode => Box::new(G721DecodeTask::new(input.bytes(), len, chunk_words)),
+            Benchmark::JpegDecode => Box::new(
+                JpegDecodeTask::new(input.bytes(), chunk_words)
+                    .expect("internally generated stream parses"),
+            ),
+            Benchmark::G722Encode => Box::new(G722EncodeTask::new(input.pcm(), chunk_words)),
+            Benchmark::G722Decode => Box::new(G722DecodeTask::new(input.bytes(), len, chunk_words)),
         }
     }
 
@@ -1294,6 +1381,78 @@ mod tests {
                     .unwrap_or_else(|e| panic!("chunk={chunk_words} block={block}: {e}"));
             }
         }
+    }
+
+    /// Builds the standard task from freshly synthesised input through
+    /// the public constructors, bypassing the input memo.
+    fn build_unmemoised(
+        benchmark: Benchmark,
+        chunk_words: u32,
+        scale: f64,
+    ) -> Box<dyn StreamingTask> {
+        let n = benchmark.audio_samples(scale);
+        match benchmark {
+            Benchmark::AdpcmEncode => {
+                Box::new(AdpcmEncodeTask::new(speech_pcm(n, 0xA1), chunk_words))
+            }
+            Benchmark::AdpcmDecode => Box::new(AdpcmDecodeTask::new(
+                adpcm::encode(&speech_pcm(n, 0xA2)),
+                n,
+                chunk_words,
+            )),
+            Benchmark::G721Encode => {
+                Box::new(G721EncodeTask::new(speech_pcm(n, 0xB1), chunk_words))
+            }
+            Benchmark::G721Decode => Box::new(G721DecodeTask::new(
+                g726::encode(&speech_pcm(n, 0xB2)),
+                n,
+                chunk_words,
+            )),
+            Benchmark::JpegDecode => {
+                let side = Benchmark::jpeg_side(scale);
+                let bytes = jpeg::encode(&test_image(side, side, 0xC1), side, side, 80);
+                Box::new(JpegDecodeTask::new(bytes, chunk_words).unwrap())
+            }
+            Benchmark::G722Encode => {
+                Box::new(G722EncodeTask::new(speech_pcm(n, 0xD1), chunk_words))
+            }
+            Benchmark::G722Decode => Box::new(G722DecodeTask::new(
+                g722::encode(&speech_pcm(n, 0xD2)),
+                n,
+                chunk_words,
+            )),
+        }
+    }
+
+    #[test]
+    fn memoised_builds_match_freshly_synthesised_input() {
+        for benchmark in Benchmark::ALL {
+            for scale in [0.25, 2.0] {
+                let mut fresh = build_unmemoised(benchmark, 16, scale);
+                let mut fresh_bus = quiet_bus();
+                let expected = run_to_completion(fresh.as_mut(), &mut fresh_bus);
+                // Twice: the first build may synthesise, the second must hit.
+                for _ in 0..2 {
+                    let mut memoised = benchmark.build_task_scaled(16, scale);
+                    let mut bus = quiet_bus();
+                    let output = run_to_completion(memoised.as_mut(), &mut bus);
+                    assert_eq!(output, expected, "{benchmark} scale={scale}");
+                    assert_eq!(bus.now(), fresh_bus.now(), "{benchmark} scale={scale}");
+                    assert_eq!(memoised.profile(), fresh.profile(), "{benchmark}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_memo_stays_within_capacity() {
+        for step in 1..=4 * INPUT_MEMO_CAPACITY {
+            let scale = step as f64 * 3.0 / (4 * INPUT_MEMO_CAPACITY) as f64 + 0.5;
+            let _ = Benchmark::G721Encode.build_task_scaled(16, scale);
+            let held = input_memo().lock().unwrap().len();
+            assert!(held <= INPUT_MEMO_CAPACITY, "memo grew to {held}");
+        }
+        assert_eq!(input_memo().lock().unwrap().len(), INPUT_MEMO_CAPACITY);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn spawn_shard(tag: &str) -> String {
 fn main() {
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    let spec = CampaignSpec::new(config, 0xADA_E6)
+    let spec = CampaignSpec::new(config, 0x000A_DAE6)
         .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .error_rates(&[1e-6, 1e-5])

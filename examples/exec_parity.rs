@@ -17,7 +17,7 @@ use chunkpoint_serve::server::{ServeConfig, Server};
 fn main() {
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    let spec = CampaignSpec::new(config, 0xE4EC_57)
+    let spec = CampaignSpec::new(config, 0x00E4_EC57)
         .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))

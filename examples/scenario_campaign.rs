@@ -59,7 +59,7 @@ fn main() {
     let out_dir = std::env::args().nth(1);
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    let spec = CampaignSpec::new(config, 0x5CE7_A10)
+    let spec = CampaignSpec::new(config, 0x05CE_7A10)
         .benchmarks(&[Benchmark::AdpcmDecode])
         .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
         .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))

@@ -14,6 +14,15 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo clippy (warnings are errors) =="
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== benchmark (perfbench/) builds against the current APIs and passes its tests =="
+# perfbench is its own workspace building the crates by path, so a core
+# API change that breaks it only shows here.
+CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test --manifest-path perfbench/Cargo.toml
+
 echo "== smoke campaign (parallel path + determinism) =="
 cargo run --release -p chunkpoint_bench --bin bench_campaign -- --smoke --seeds 2 --threads 2
 
